@@ -1156,7 +1156,8 @@ impl DocStore {
     }
 
     /// Loads a store persisted by [`DocStore::save`]. Verifies every record
-    /// CRC and the footer count; also accepts the legacy plain-JSONL format.
+    /// CRC and the footer count: any other content, an empty file included,
+    /// is an error.
     pub fn load(path: &Path) -> Result<DocStore> {
         DocStore::load_on(&StdFs, path)
     }
@@ -1165,26 +1166,15 @@ impl DocStore {
     pub fn load_on(fs: &dyn Vfs, path: &Path) -> Result<DocStore> {
         let text = vfs::read_to_string(fs, path)?;
         let mut store = DocStore::new();
-        let legacy = text
-            .lines()
-            .find(|l| !l.trim().is_empty())
-            .is_none_or(|l| l.trim_start().starts_with('{'));
-        if legacy {
-            for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                let v = aryn_core::json::parse(line)?;
-                store.put(aryn_core::serialize::document_from_value(&v)?);
+        for (tag, payload) in vfs::decode_tagged_file(&text)? {
+            if tag != 's' {
+                return Err(ArynError::Io(format!(
+                    "{}: unexpected record tag {tag:?}",
+                    path.display()
+                )));
             }
-        } else {
-            for (tag, payload) in vfs::decode_tagged_file(&text)? {
-                if tag != 's' {
-                    return Err(ArynError::Io(format!(
-                        "{}: unexpected record tag {tag:?}",
-                        path.display()
-                    )));
-                }
-                let v = aryn_core::json::parse(&payload)?;
-                store.put(aryn_core::serialize::document_from_value(&v)?);
-            }
+            let v = aryn_core::json::parse(&payload)?;
+            store.put(aryn_core::serialize::document_from_value(&v)?);
         }
         Ok(store)
     }

@@ -66,28 +66,17 @@ impl BatchConfig {
     }
 }
 
-/// How a batched run executed, for stats and telemetry.
+/// How a batched run executed, for stats and telemetry. The LLM counters
+/// (packed calls and items, calls saved, cache hits) are in the client's
+/// meter and cache, like every other call's.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BatchReport {
     /// Size of every packed (≥2-item) model call issued, including
     /// bisection retries — the batch-size histogram.
     pub batch_sizes: Vec<usize>,
-    /// Items served from the call cache without entering any pack.
-    pub cache_hits: usize,
-    /// Items resolved out of packed responses.
-    pub packed_items: usize,
     /// Items that fell back to singleton `generate_json` calls (packs of
     /// one, bisection leaves, or payloads too big to pack).
     pub singleton_fallbacks: usize,
-}
-
-impl BatchReport {
-    /// Model calls an unbatched run would have issued minus what the
-    /// packed calls cost: `Σ max(resolved_per_pack - 1, 0)` as accumulated
-    /// into the meter's `calls_saved`.
-    pub fn packed_calls(&self) -> usize {
-        self.batch_sizes.len()
-    }
 }
 
 /// Runs `kind` over every context in `contexts`, packing cache-cold items
@@ -136,7 +125,6 @@ pub fn run_batched(
             // The peek already counted the hit; resolve the value via the
             // same repair ladder generate_json applies to a hit.
             results[i] = Some(resolve_cached(client, &single, max_output, out.text));
-            report.cache_hits += 1;
         } else {
             cold.push((i, ctx.as_str()));
         }
@@ -267,7 +255,6 @@ fn run_pack(
                     None => missing.push((*i, *ctx)),
                 }
             }
-            report.packed_items += accepted;
             if accepted > 0 {
                 client.meter_ref().bump(|s| {
                     s.batched_items += accepted as u64;
@@ -499,7 +486,7 @@ mod tests {
         }
         // Every packed call drops its top item: two packs of 4 resolve 3
         // each; each missing item bisects straight to a singleton.
-        assert_eq!(report.packed_items, 6);
+        assert_eq!(c.stats().batched_items, 6);
         assert_eq!(report.singleton_fallbacks, 2);
     }
 
@@ -521,7 +508,7 @@ mod tests {
         // 4-pack garbles → two 2-packs garble → four singletons succeed.
         assert_eq!(report.batch_sizes, vec![4, 2, 2]);
         assert_eq!(report.singleton_fallbacks, 4);
-        assert_eq!(report.packed_items, 0);
+        assert_eq!(c.stats().batched_items, 0);
         assert_eq!(c.stats().parse_failures, 3, "one per garbled packed call");
     }
 
@@ -541,9 +528,10 @@ mod tests {
         assert_eq!(cache.stats().inserts, 6);
         // Warm run: all six items hit; no packs, no model calls.
         let calls_before = c.stats().calls;
+        let hits_before = cache.stats().hits;
         let (second, r2) = run_batched(&c, TaskKind::Filter, &params, &contexts, 64, cfg);
         assert_eq!(c.stats().calls, calls_before, "warm pass issues no calls");
-        assert_eq!(r2.cache_hits, 6);
+        assert_eq!(cache.stats().hits - hits_before, 6);
         assert!(r2.batch_sizes.is_empty(), "warm items never packed");
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
@@ -551,9 +539,10 @@ mod tests {
         // Half-warm run over a superset: only the cold half is packed.
         let mut more = contexts.clone();
         more.extend(docs(9).into_iter().skip(6));
+        let hits_before = cache.stats().hits;
         let (third, r3) = run_batched(&c, TaskKind::Filter, &params, &more, 64, cfg);
         assert!(third.iter().all(Result::is_ok));
-        assert_eq!(r3.cache_hits, 6);
+        assert_eq!(cache.stats().hits - hits_before, 6);
         assert_eq!(r3.batch_sizes, vec![3], "only the 3 cold items packed");
     }
 

@@ -126,18 +126,6 @@ impl CacheStats {
         }
     }
 
-    /// Merge another snapshot into this one (summing all counters).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.inserts += other.inserts;
-        self.evictions += other.evictions;
-        self.dedup_joins += other.dedup_joins;
-        self.corrupt_entries += other.corrupt_entries;
-        self.cost_saved_usd += other.cost_saved_usd;
-        self.latency_saved_ms += other.latency_saved_ms;
-    }
-
     /// Hit fraction over all lookups so far (0 when no lookups happened).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -250,8 +238,8 @@ impl LlmCallCache {
     /// chaos covers cache IO. New entries append as checksummed records
     /// (`c <crc32> <json>`); loading verifies each line, skips-and-counts
     /// corrupt ones mid-file, physically truncates a corrupt *tail* (the
-    /// crash-mid-append shape) with an atomic rewrite, and still accepts
-    /// the legacy plain-JSONL format.
+    /// crash-mid-append shape) with an atomic rewrite. A line that is not a
+    /// checksummed `c` record, plain JSON included, counts as corrupt.
     pub fn with_disk_on(
         mut self,
         fs: Arc<dyn Vfs>,
@@ -274,12 +262,9 @@ impl LlmCallCache {
                 if line.trim().is_empty() {
                     continue;
                 }
-                // Checksummed record or legacy plain JSON, per line.
                 let parsed = match vfs::decode_record(line) {
                     Ok(('c', payload)) => json::parse(payload).ok(),
-                    Ok(_) => None,
-                    Err(_) if line.trim_start().starts_with('{') => json::parse(line).ok(),
-                    Err(_) => None,
+                    _ => None,
                 };
                 let Some(v) = parsed else {
                     g.stats.corrupt_entries += 1;
@@ -825,6 +810,30 @@ mod tests {
     }
 
     #[test]
+    fn plain_json_line_counts_as_corrupt() {
+        use aryn_core::vfs::{MemFs, Vfs};
+        use std::path::Path;
+        let fs = Arc::new(MemFs::new());
+        let dir = Path::new("/cache");
+        fs.create_dir_all(dir).unwrap();
+        let k1 = CacheKey::for_call("m", "p", 64, 0.0);
+        let k2 = CacheKey::for_call("m", "q", 64, 0.0);
+        // A well-formed entry for k2, but as a bare JSON object: the payload
+        // of a `c` record without its tag and checksum.
+        let record = encode_disk_line(k2.0, "w", usage(0.1));
+        let plain = record.trim_end().split_once('{').map(|(_, rest)| rest).unwrap();
+        let text = format!("{{{plain}\n{}", encode_disk_line(k1.0, "v", usage(0.1)));
+        fs.write(&dir.join("llm_cache.jsonl"), text.as_bytes()).unwrap();
+        let warm = LlmCallCache::with_capacity(8).with_disk_on(fs, dir).unwrap();
+        assert_eq!(warm.len(), 1, "only the checksummed record loads");
+        assert_eq!(warm.stats().corrupt_entries, 1);
+        assert!(warm
+            .get_or_compute(k2, || Ok(("w".into(), usage(0.1))))
+            .map(|o| !o.hit)
+            .unwrap());
+    }
+
+    #[test]
     fn compact_disk_drops_dead_lines_atomically() {
         use aryn_core::vfs::{MemFs, Vfs};
         use std::path::Path;
@@ -882,7 +891,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_since_and_merge() {
+    fn stats_since_and_hit_rate() {
         let a = CacheStats {
             hits: 5,
             misses: 3,
@@ -904,11 +913,11 @@ mod tests {
             latency_saved_ms: 4.0,
         };
         let d = a.since(&earlier);
-        assert_eq!((d.hits, d.misses, d.dedup_joins), (3, 2, 1));
+        assert_eq!((d.hits, d.misses, d.inserts, d.evictions), (3, 2, 2, 1));
+        assert_eq!((d.dedup_joins, d.corrupt_entries), (1, 1));
         assert!((d.cost_saved_usd - 0.75).abs() < 1e-12);
-        let mut m = earlier;
-        m.merge(&d);
-        assert_eq!(m, a);
+        assert!((d.latency_saved_ms - 6.0).abs() < 1e-12);
+        assert_eq!(earlier.since(&a), CacheStats::default(), "saturates at zero");
         assert!((a.hit_rate() - 5.0 / 8.0).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }

@@ -13,6 +13,7 @@ use crate::model::{LanguageModel, LlmRequest, Usage};
 use crate::reliability::{ReliabilitySlot, ReliabilityState};
 use aryn_core::text::{count_tokens, truncate_tokens};
 use aryn_core::{json, ArynError, Result, Value};
+use aryn_telemetry::SpanBuilder;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -40,6 +41,12 @@ pub struct UsageStats {
     /// Documents whose result came from a degraded path (fallback model or
     /// the string-match tier) and were flagged as such.
     pub degraded_docs: u64,
+    /// Call-cache lookups served without a model call (single-flight joins
+    /// included). Hits never meter, so [`snapshot_usage`] reads them from
+    /// the attached caches.
+    pub cache_hits: u64,
+    /// Simulated dollars those cache hits would have cost.
+    pub cost_saved_usd: f64,
     pub usage: Usage,
 }
 
@@ -61,6 +68,8 @@ impl UsageStats {
             breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
             fallback_calls: self.fallback_calls.saturating_sub(earlier.fallback_calls),
             degraded_docs: self.degraded_docs.saturating_sub(earlier.degraded_docs),
+            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
+            cost_saved_usd: (self.cost_saved_usd - earlier.cost_saved_usd).max(0.0),
             usage: Usage {
                 input_tokens: self.usage.input_tokens.saturating_sub(earlier.usage.input_tokens),
                 output_tokens: self
@@ -86,8 +95,84 @@ impl UsageStats {
         self.breaker_trips += other.breaker_trips;
         self.fallback_calls += other.fallback_calls;
         self.degraded_docs += other.degraded_docs;
+        self.cache_hits += other.cache_hits;
+        self.cost_saved_usd += other.cost_saved_usd;
         self.usage.add(&other.usage);
     }
+
+    /// Prompt plus completion tokens.
+    pub fn tokens(&self) -> u64 {
+        (self.usage.input_tokens + self.usage.output_tokens) as u64
+    }
+
+    /// Writes these counters onto a telemetry span, one name per field:
+    /// tallies as counters (they feed the trace fingerprint), dollars and
+    /// simulated latency as gauges. A value is written only when nonzero;
+    /// absent keys read as 0 through `Span::counter`/`Span::gauge`, so spans
+    /// without LLM work stay small. Stage, operator and planner spans all
+    /// write their LLM metrics here (`cargo xtask lint` enforces it).
+    pub fn record_into(&self, span: &mut SpanBuilder) {
+        let counters = [
+            ("llm_calls", self.calls),
+            ("llm_retries", self.retries),
+            ("llm_parse_repairs", self.parse_repairs),
+            ("llm_parse_failures", self.parse_failures),
+            ("llm_transient_failures", self.transient_failures),
+            ("llm_batched_calls", self.batched_calls),
+            ("llm_batched_items", self.batched_items),
+            ("llm_calls_saved", self.calls_saved),
+            ("llm_breaker_trips", self.breaker_trips),
+            ("llm_fallback_calls", self.fallback_calls),
+            ("llm_degraded_docs", self.degraded_docs),
+            ("llm_cache_hits", self.cache_hits),
+            ("llm_input_tokens", self.usage.input_tokens as u64),
+            ("llm_output_tokens", self.usage.output_tokens as u64),
+        ];
+        for (key, n) in counters {
+            if n > 0 {
+                span.set(key, n);
+            }
+        }
+        let gauges = [
+            ("llm_cost_usd", self.usage.cost_usd),
+            ("llm_cost_saved_usd", self.cost_saved_usd),
+            ("llm_latency_ms", self.usage.latency_ms),
+        ];
+        for (key, v) in gauges {
+            if v > 0.0 {
+                span.gauge(key, v);
+            }
+        }
+    }
+}
+
+/// Combined usage of `clients` and every fallback tier behind them: the
+/// counters of each distinct meter plus the hits and saved dollars of each
+/// distinct call cache, deduplicated by identity (a fused stage may share
+/// one meter across several ops, and a session shares one cache across all
+/// its clients). Taken before and after a unit of work, the difference
+/// ([`UsageStats::since`]) is that unit's LLM spend.
+pub fn snapshot_usage<'a>(clients: impl IntoIterator<Item = &'a LlmClient>) -> UsageStats {
+    let mut meters: Vec<*const UsageMeter> = Vec::new();
+    let mut caches: Vec<*const LlmCallCache> = Vec::new();
+    let mut total = UsageStats::default();
+    for client in clients {
+        for tier in client.fallback_chain() {
+            if !meters.contains(&Arc::as_ptr(&tier.meter)) {
+                meters.push(Arc::as_ptr(&tier.meter));
+                total.merge(&tier.meter.snapshot());
+            }
+            if let Some(cache) = &tier.cache {
+                if !caches.contains(&Arc::as_ptr(cache)) {
+                    caches.push(Arc::as_ptr(cache));
+                    let stats = cache.stats();
+                    total.cache_hits += stats.hits;
+                    total.cost_saved_usd += stats.cost_saved_usd;
+                }
+            }
+        }
+    }
+    total
 }
 
 /// Thread-safe usage meter.

@@ -44,8 +44,8 @@ fn run_once(corpus: &Corpus, max_items: usize, token_budget: usize, label: &str)
     let run = Run {
         label: label.to_string(),
         calls: client.stats().calls,
-        saved: stats.total_llm_calls_saved(),
-        batched_calls: stats.total_batched_calls(),
+        saved: stats.llm().calls_saved,
+        batched_calls: stats.llm().batched_calls,
         histogram: stats.batch_size_histogram(),
         wall_ms,
         ids: docs.iter().map(|d| d.id.0.clone()).collect(),

@@ -292,8 +292,7 @@ impl Luna {
         // Session mode meters planning against the tenant's budget too —
         // a pushed-down question's only LLM work is its plan call, and the
         // serving layer accounts every simulated millisecond. Classic mode
-        // keeps the planner unguarded (historical call counts and
-        // fingerprints stay exact).
+        // keeps the planner unguarded (its call counts stay exact).
         if let Some(slot) = &reliability_slot {
             planner_client = planner_client.with_reliability_slot(Arc::clone(slot));
         }
@@ -515,14 +514,10 @@ impl Luna {
             let mut span = tel.span("plan", "planner");
             span.note(format!("question={question}"));
             span.note(format!("outcome={outcome}"));
-            span.set("llm_calls", delta.calls)
-                .set("retries", delta.retries)
-                .set("replans", replans as u64)
+            span.set("replans", replans as u64)
                 .set("plan_nodes", plan_nodes as u64)
-                .set("llm_input_tokens", delta.usage.input_tokens as u64)
-                .set("llm_output_tokens", delta.usage.output_tokens as u64)
-                .gauge("wall_ms", started.elapsed().as_secs_f64() * 1e3)
-                .gauge("llm_cost_usd", delta.usage.cost_usd);
+                .gauge("wall_ms", started.elapsed().as_secs_f64() * 1e3);
+            delta.record_into(&mut span);
             span.finish();
         };
         // One semantic repair re-prompt per question: structural re-asks are
@@ -708,34 +703,17 @@ impl Luna {
         self.execute(&optimized.plan)
     }
 
-    /// Total planning + execution spend so far (simulated dollars),
-    /// including spend by fallback tiers behind degradation ladders.
-    pub fn total_cost(&self) -> f64 {
-        self.usage_stats().usage.cost_usd
-    }
-
     /// Aggregate usage across the planner and every execution client —
     /// walking each client's degradation ladder so calls a cheaper fallback
-    /// tier answered are counted — deduplicated by meter identity. `calls`
-    /// counts real model calls only (cache hits never meter), so call-count
-    /// deltas between runs measure what the cache saved.
+    /// tier answered are counted — deduplicated by meter and cache identity.
+    /// `calls` counts real model calls only (cache hits never meter), so
+    /// call-count deltas between runs measure what the cache saved.
     pub fn usage_stats(&self) -> UsageStats {
-        let mut seen: Vec<*const aryn_llm::UsageMeter> = Vec::new();
-        let mut total = UsageStats::default();
-        let clients = std::iter::once(&self.planner_client)
-            .chain(std::iter::once(&self.executor.client))
-            .chain(self.executor.model_clients.values());
-        for client in clients {
-            for tier in client.fallback_chain() {
-                let meter = tier.meter();
-                let ptr = Arc::as_ptr(&meter);
-                if !seen.contains(&ptr) {
-                    seen.push(ptr);
-                    total.merge(&meter.snapshot());
-                }
-            }
-        }
-        total
+        aryn_llm::snapshot_usage(
+            std::iter::once(&self.planner_client)
+                .chain(std::iter::once(&self.executor.client))
+                .chain(self.executor.model_clients.values()),
+        )
     }
 
     /// Counters of the shared call cache (zeros when the cache is off).
@@ -802,37 +780,14 @@ impl LunaAnswer {
                 "out_{} [{}] {}\n  rows: {} -> {}  wall: {:.2} ms\n",
                 t.node_id, t.op_kind, t.description, t.rows_in, t.rows_out, t.wall_ms
             ));
-            if t.llm_calls > 0 {
-                out.push_str(&format!(
-                    "  llm: {} calls  {} in / {} out tokens  {} retries  ${:.4}\n",
-                    t.llm_calls, t.input_tokens, t.output_tokens, t.retries, t.cost_usd
-                ));
-            }
-            if t.cache_hits > 0 {
-                out.push_str(&format!(
-                    "  cache: {} hits  ${:.4} saved\n",
-                    t.cache_hits, t.cost_saved_usd
-                ));
-            }
-            if t.batched_calls > 0 {
-                out.push_str(&format!(
-                    "  batch: {} packed calls  {} calls saved\n",
-                    t.batched_calls, t.calls_saved
-                ));
-            }
-            if t.fallback_calls + t.degraded_docs + t.breaker_trips > 0 {
-                out.push_str(&format!(
-                    "  degraded: {} fallback calls  {} degraded docs  {} breaker trips\n",
-                    t.fallback_calls, t.degraded_docs, t.breaker_trips
-                ));
-            }
+            render_llm_lines(&mut out, "  ", &t.llm, true);
         }
         if let Some(p) = self.trace.spans_of_kind("planner").first() {
             out.push_str(&format!(
                 "planner: {} llm calls  {} replans  {} retries\n",
                 p.counter("llm_calls"),
                 p.counter("replans"),
-                p.counter("retries")
+                p.counter("llm_retries")
             ));
         }
         if let Some(o) = self.trace.spans_of_kind("optimizer").first() {
@@ -898,52 +853,60 @@ impl LunaAnswer {
                 out.push_str(&format!("  durability: {}\n", parts.join("  ")));
             }
         }
+        let totals = self.result.llm();
         out.push_str(&format!(
             "totals: {} llm calls  {} tokens  {} retries  ${:.4}  fingerprint {:016x}\n",
-            self.result.total_llm_calls(),
-            self.result.total_tokens(),
-            self.result.total_retries(),
-            self.result.total_cost(),
+            totals.calls,
+            totals.tokens(),
+            totals.retries,
+            totals.usage.cost_usd,
             self.trace.fingerprint()
         ));
-        if self.result.total_cache_hits() > 0 {
-            out.push_str(&format!(
-                "cache: {} hits  ${:.4} saved\n",
-                self.result.total_cache_hits(),
-                self.result.total_cost_saved_usd()
-            ));
-        }
-        if self.result.total_batched_calls() > 0 {
-            out.push_str(&format!(
-                "batch: {} packed calls  {} calls saved\n",
-                self.result.total_batched_calls(),
-                self.result.total_calls_saved()
-            ));
-        }
-        let degraded = self.result.total_fallback_calls()
-            + self.result.total_degraded_docs()
-            + self.result.total_breaker_trips();
-        if degraded > 0 {
-            out.push_str(&format!(
-                "degraded: {} fallback calls  {} degraded docs  {} breaker trips\n",
-                self.result.total_fallback_calls(),
-                self.result.total_degraded_docs(),
-                self.result.total_breaker_trips()
-            ));
-        }
+        render_llm_lines(&mut out, "", &totals, false);
         if let Some(cost) = &self.cost {
             out.push_str(&cost.render());
             out.push_str(&format!(
                 "predicted vs actual: calls {} actual {}  tokens {} actual {}  cost {} actual ${:.4}\n",
                 cost.llm_calls.render(),
-                self.result.total_llm_calls(),
+                totals.calls,
                 cost.total_tokens().render(),
-                self.result.total_tokens(),
+                totals.tokens(),
                 cost.cost_usd.render(),
-                self.result.total_cost(),
+                totals.usage.cost_usd,
             ));
         }
         out
+    }
+}
+
+/// The `llm:`, `cache:`, `batch:` and `degraded:` lines of
+/// `explain_analyze`, each only when its counters are nonzero: all four for
+/// a node (indented), and all but `llm:` for the totals, whose `totals:`
+/// line also carries the trace fingerprint.
+fn render_llm_lines(out: &mut String, indent: &str, u: &UsageStats, with_llm: bool) {
+    if with_llm && u.calls > 0 {
+        out.push_str(&format!(
+            "{indent}llm: {} calls  {} in / {} out tokens  {} retries  ${:.4}\n",
+            u.calls, u.usage.input_tokens, u.usage.output_tokens, u.retries, u.usage.cost_usd
+        ));
+    }
+    if u.cache_hits > 0 {
+        out.push_str(&format!(
+            "{indent}cache: {} hits  ${:.4} saved\n",
+            u.cache_hits, u.cost_saved_usd
+        ));
+    }
+    if u.batched_calls > 0 {
+        out.push_str(&format!(
+            "{indent}batch: {} packed calls  {} calls saved\n",
+            u.batched_calls, u.calls_saved
+        ));
+    }
+    if u.fallback_calls + u.degraded_docs + u.breaker_trips > 0 {
+        out.push_str(&format!(
+            "{indent}degraded: {} fallback calls  {} degraded docs  {} breaker trips\n",
+            u.fallback_calls, u.degraded_docs, u.breaker_trips
+        ));
     }
 }
 

@@ -19,12 +19,11 @@ use crate::op::Op;
 use crate::stats::{ExecStats, StageStats, WorkerStats};
 use crate::transforms;
 use aryn_core::{stable_hash, ArynError, Document, Result};
-use aryn_llm::{CacheStats, UsageStats};
+use aryn_llm::UsageStats;
 use aryn_telemetry::Telemetry;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Reads this thread's busy clock in nanoseconds. On Linux this is the
@@ -61,45 +60,11 @@ fn busy_clock_ns() -> u64 {
     START.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Combined meter snapshot of every LLM client held by `ops`, deduplicated
-/// by meter identity (a fused stage may share one meter across several ops).
-/// Taken before and after a stage, the difference attributes LLM calls,
-/// tokens, retries, and cost to that stage.
+/// Combined usage snapshot of every LLM client held by `ops`. Taken before
+/// and after a stage, the difference attributes LLM calls, tokens, retries,
+/// cost and cache hits to that stage.
 fn llm_snapshot(ops: &[Op]) -> UsageStats {
-    let mut seen: Vec<*const aryn_llm::UsageMeter> = Vec::new();
-    let mut total = UsageStats::default();
-    for op in ops {
-        for client in op.clients() {
-            let meter = client.meter();
-            let ptr = Arc::as_ptr(&meter);
-            if !seen.contains(&ptr) {
-                seen.push(ptr);
-                total.merge(&meter.snapshot());
-            }
-        }
-    }
-    total
-}
-
-/// Combined call-cache snapshot of every client held by `ops`, deduplicated
-/// by cache identity (clients typically share one cache per Context/Luna).
-/// Taken before and after a stage, the difference attributes cache hits and
-/// saved cost to that stage.
-fn cache_snapshot(ops: &[Op]) -> CacheStats {
-    let mut seen: Vec<*const aryn_llm::LlmCallCache> = Vec::new();
-    let mut total = CacheStats::default();
-    for op in ops {
-        for client in op.clients() {
-            if let Some(cache) = client.cache() {
-                let ptr = Arc::as_ptr(&cache);
-                if !seen.contains(&ptr) {
-                    seen.push(ptr);
-                    total.merge(&cache.stats());
-                }
-            }
-        }
-    }
-    total
+    aryn_llm::snapshot_usage(ops.iter().flat_map(Op::clients))
 }
 
 /// Records one executed stage into the context's trace. Deterministic facts
@@ -109,65 +74,31 @@ fn cache_snapshot(ops: &[Op]) -> CacheStats {
 /// gauges, which the fingerprint excludes: they are *exact* (each worker
 /// owns its shard and the shards merge once at finalize) but they legally
 /// vary with worker count and morsel size, so they must not leak into the
-/// seed-deterministic fingerprint.
-fn record_stage_span(tel: &Telemetry, stage: &StageStats, delta: &UsageStats) {
+/// seed-deterministic fingerprint. LLM counters are written by
+/// [`UsageStats::record_into`], nonzero only; packing and hit totals are
+/// schedule-independent, so they may feed the fingerprint.
+fn record_stage_span(tel: &Telemetry, stage: &StageStats) {
     if !tel.is_enabled() {
         return;
     }
     let mut span = tel.span(&stage.name, "stage");
     // Tenant attribution: only noted when a serving-layer session tag is
-    // present, so single-tenant traces keep their historical fingerprints.
+    // present.
     if !stage.tenant.is_empty() {
         span.note(format!("tenant={}", stage.tenant));
     }
     span.set("rows_in", stage.rows_in as u64)
         .set("rows_out", stage.rows_out as u64)
         .set("retries", stage.retries as u64)
-        .set("failed_docs", stage.failed_docs as u64)
-        .set("llm_calls", stage.llm_calls)
-        .set("llm_input_tokens", stage.llm_input_tokens)
-        .set("llm_output_tokens", stage.llm_output_tokens)
-        .set("llm_parse_repairs", delta.parse_repairs)
-        .set("llm_parse_failures", delta.parse_failures);
+        .set("failed_docs", stage.failed_docs as u64);
+    stage.llm.record_into(&mut span);
     if stage.cache_hit {
         span.set("cache_hit", 1);
     }
-    // Hit totals are schedule-independent (hits = cacheable lookups − unique
-    // computes), so they may feed the fingerprint; only set when nonzero so
-    // cache-off traces keep their historical fingerprints.
-    if stage.llm_cache_hits > 0 {
-        span.set("llm_cache_hits", stage.llm_cache_hits);
+    for (size, count) in stage.batch_size_histogram() {
+        span.set(&format!("batch_size_{size}"), count as u64);
     }
-    // Micro-batching counters: packing is deterministic (in-order, fixed
-    // budgets), so these may feed the fingerprint too. Only set when the
-    // stage actually batched, so batching-off traces keep their historical
-    // fingerprints.
-    if stage.llm_calls_saved > 0 {
-        span.set("llm_calls_saved", stage.llm_calls_saved);
-    }
-    if !stage.batch_sizes.is_empty() {
-        span.set("llm_batched_calls", stage.batch_sizes.len() as u64);
-        for (size, count) in stage.batch_size_histogram() {
-            span.set(&format!("batch_size_{size}"), count as u64);
-        }
-    }
-    // Reliability counters: breaker trips, fallback answers, and degraded
-    // documents are deterministic under the virtual clock. Only set when
-    // nonzero, so calm runs keep their historical trace fingerprints.
-    if stage.breaker_trips > 0 {
-        span.set("breaker_trips", stage.breaker_trips);
-    }
-    if stage.fallback_calls > 0 {
-        span.set("fallback_calls", stage.fallback_calls);
-    }
-    if stage.degraded_docs > 0 {
-        span.set("degraded_docs", stage.degraded_docs);
-    }
-    span.gauge("wall_ms", stage.wall_ms)
-        .gauge("llm_cost_usd", stage.llm_cost_usd);
-    if stage.llm_cost_saved_usd > 0.0 {
-        span.gauge("llm_cost_saved_usd", stage.llm_cost_saved_usd);
-    }
+    span.gauge("wall_ms", stage.wall_ms);
     if !stage.workers.is_empty() {
         span.gauge("workers", stage.workers.len() as f64);
         span.gauge("morsels", stage.morsels() as f64);
@@ -219,7 +150,7 @@ pub fn execute(ctx: &Context, source: &Source, ops: &[Op]) -> Result<(Vec<Docume
                 cache_hit: true,
                 ..StageStats::default()
             };
-            record_stage_span(&tel, &stage, &UsageStats::default());
+            record_stage_span(&tel, &stage);
             stats.stages.push(stage);
             (cached, idx + 1)
         }
@@ -229,14 +160,11 @@ pub fn execute(ctx: &Context, source: &Source, ops: &[Op]) -> Result<(Vec<Docume
         if ops[i].is_barrier() {
             let op_slice = std::slice::from_ref(&ops[i]);
             let before = llm_snapshot(op_slice);
-            let cache_before = cache_snapshot(op_slice);
             let start = Instant::now();
             let rows_in = docs.len();
             let fp = plan_fingerprint(source, &ops[..=i]);
             let (new_docs, barrier_failed) = apply_barrier(ctx, &ops[i], docs, fp)?;
             docs = new_docs;
-            let delta = llm_snapshot(op_slice).since(&before);
-            let cache_delta = cache_snapshot(op_slice).since(&cache_before);
             let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
             let stage = StageStats {
                 name: ops[i].name(),
@@ -244,31 +172,22 @@ pub fn execute(ctx: &Context, source: &Source, ops: &[Op]) -> Result<(Vec<Docume
                 rows_in,
                 rows_out: docs.len(),
                 wall_ms,
-                // A barrier has no per-doc worker retries, but its inner LLM
-                // work (e.g. summarize_all's hierarchical batches) can retry;
-                // the meter delta is the real count.
-                retries: delta.retries as usize,
+                // A barrier has no per-doc worker retries; its inner LLM
+                // work (e.g. summarize_all's hierarchical batches) can
+                // retry, and the meter delta in `llm` counts those.
+                retries: 0,
                 // Inner per-batch failures (summarize_all with skip_failures)
                 // surface here as dropped source documents.
                 failed_docs: barrier_failed,
-                llm_calls: delta.calls,
-                llm_input_tokens: delta.usage.input_tokens as u64,
-                llm_output_tokens: delta.usage.output_tokens as u64,
-                llm_cost_usd: delta.usage.cost_usd,
-                llm_cache_hits: cache_delta.hits,
-                llm_cost_saved_usd: cache_delta.cost_saved_usd,
-                llm_calls_saved: delta.calls_saved,
+                llm: llm_snapshot(op_slice).since(&before),
                 batch_sizes: Vec::new(),
-                breaker_trips: delta.breaker_trips,
-                fallback_calls: delta.fallback_calls,
-                degraded_docs: delta.degraded_docs,
                 cache_hit: false,
                 // A barrier runs on the coordinating thread: its critical
                 // path is its wall time and it has no worker shards.
                 workers: Vec::new(),
                 critical_path_ms: wall_ms,
             };
-            record_stage_span(&tel, &stage, &delta);
+            record_stage_span(&tel, &stage);
             stats.stages.push(stage);
             i += 1;
         } else {
@@ -279,13 +198,10 @@ pub fn execute(ctx: &Context, source: &Source, ops: &[Op]) -> Result<(Vec<Docume
             }
             let segment = &ops[i..j];
             let before = llm_snapshot(segment);
-            let cache_before = cache_snapshot(segment);
             let start = Instant::now();
             let rows_in = docs.len();
             let outcome = run_segment(ctx, segment, docs)?;
             docs = outcome.docs;
-            let delta = llm_snapshot(segment).since(&before);
-            let cache_delta = cache_snapshot(segment).since(&cache_before);
             let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
             let stage = StageStats {
                 name: segment
@@ -299,17 +215,8 @@ pub fn execute(ctx: &Context, source: &Source, ops: &[Op]) -> Result<(Vec<Docume
                 wall_ms,
                 retries: outcome.retries,
                 failed_docs: outcome.failed,
-                llm_calls: delta.calls,
-                llm_input_tokens: delta.usage.input_tokens as u64,
-                llm_output_tokens: delta.usage.output_tokens as u64,
-                llm_cost_usd: delta.usage.cost_usd,
-                llm_cache_hits: cache_delta.hits,
-                llm_cost_saved_usd: cache_delta.cost_saved_usd,
-                llm_calls_saved: delta.calls_saved,
+                llm: llm_snapshot(segment).since(&before),
                 batch_sizes: outcome.batch_sizes,
-                breaker_trips: delta.breaker_trips,
-                fallback_calls: delta.fallback_calls,
-                degraded_docs: delta.degraded_docs,
                 cache_hit: false,
                 // Batched segments carry no per-worker shards (the
                 // coordinating thread issues the packed calls); their
@@ -325,7 +232,7 @@ pub fn execute(ctx: &Context, source: &Source, ops: &[Op]) -> Result<(Vec<Docume
                 },
                 workers: outcome.workers,
             };
-            record_stage_span(&tel, &stage, &delta);
+            record_stage_span(&tel, &stage);
             stats.stages.push(stage);
             i = j;
         }

@@ -318,8 +318,8 @@ impl Ingestor {
         sp.gauge("index_lag_p50_ms", report.p50_lag_ms);
         sp.gauge("index_lag_p99_ms", report.p99_lag_ms);
         sp.gauge("index_lag_ms", report.max_lag_ms);
-        // Durability counters ride along nonzero-only so in-memory streams
-        // keep their span fingerprints.
+        // Durability counters ride along, each written only when nonzero:
+        // in-memory streams record none.
         if let Ok(stats) = self.ctx.with_store(&self.store, |s| s.stats()) {
             for (key, n) in [
                 ("wal_appends", stats.wal_appends),

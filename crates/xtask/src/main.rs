@@ -25,7 +25,10 @@
 //!    attempt` retry loops are frozen at the grandfathered sites: retries
 //!    belong in `aryn_llm::reliability`/`LlmClient`, where they are metered,
 //!    backoff-jittered, breaker-guarded, and charged to the deadline budget.
-//! 5. **Diagnostic-code doc check.** Every analyzer code
+//! 5. **LLM span-vocabulary scan.** Span counters and gauges named
+//!    `llm_*` are written only inside `aryn_llm::UsageStats::record_into`,
+//!    so stage, operator and planner spans keep one name per LLM metric.
+//! 6. **Diagnostic-code doc check.** Every analyzer code
 //!    ([`luna::analyze::codes::ALL`]) and pipeline lint code
 //!    ([`sycamore::lint::codes::ALL`]) must be documented in `DESIGN.md`.
 //!
@@ -80,6 +83,7 @@ fn lint(root: &Path) -> Result<(), String> {
     batch_bypass_scan(root, &mut failures)?;
     sleep_retry_scan(root, &mut failures)?;
     raw_fs_scan(root, &mut failures)?;
+    llm_span_key_scan(root, &mut failures)?;
     doc_code_check(root, &mut failures)?;
     if failures.is_empty() {
         println!("xtask lint: ok");
@@ -121,20 +125,7 @@ fn load_allowlist(root: &Path) -> Result<BTreeMap<String, usize>, String> {
 
 fn forbidden_call_scan(root: &Path, failures: &mut Vec<String>) -> Result<(), String> {
     let allow = load_allowlist(root)?;
-    let mut counts: BTreeMap<String, Vec<(usize, String)>> = BTreeMap::new();
-    let crates = root.join("crates");
-    let entries =
-        fs::read_dir(&crates).map_err(|e| format!("cannot list {}: {e}", crates.display()))?;
-    for entry in entries.flatten() {
-        let dir = entry.path();
-        // xtask itself holds the forbidden tokens as string literals.
-        if dir.file_name().is_some_and(|n| n == "xtask") {
-            continue;
-        }
-        // Library code only: integration tests, benches, and examples may
-        // assert freely.
-        scan_dir(&dir.join("src"), root, &mut counts)?;
-    }
+    let counts = scan_crates(root, FORBIDDEN, &[])?;
     for (file, sites) in &counts {
         let budget = allow.get(file).copied().unwrap_or(0);
         if sites.len() > budget {
@@ -160,12 +151,31 @@ fn forbidden_call_scan(root: &Path, failures: &mut Vec<String>) -> Result<(), St
     Ok(())
 }
 
-fn scan_dir(
-    dir: &Path,
+/// Sites of `patterns` in every crate's library code, keyed by file path
+/// relative to `root`. Only `crates/*/src` is scanned: integration tests,
+/// benches, and examples may assert freely. xtask itself is never scanned
+/// (it holds the patterns as string literals), nor are the crate
+/// directories named in `skip`.
+fn scan_crates(
     root: &Path,
-    counts: &mut BTreeMap<String, Vec<(usize, String)>>,
-) -> Result<(), String> {
-    scan_dir_for(dir, root, FORBIDDEN, counts)
+    patterns: &[&str],
+    skip: &[&str],
+) -> Result<BTreeMap<String, Vec<(usize, String)>>, String> {
+    let mut counts = BTreeMap::new();
+    let crates = root.join("crates");
+    let entries =
+        fs::read_dir(&crates).map_err(|e| format!("cannot list {}: {e}", crates.display()))?;
+    for entry in entries.flatten() {
+        let dir = entry.path();
+        if dir
+            .file_name()
+            .is_some_and(|n| n == "xtask" || skip.iter().any(|s| n == *s))
+        {
+            continue;
+        }
+        scan_dir_for(&dir.join("src"), root, patterns, &mut counts)?;
+    }
+    Ok(counts)
 }
 
 fn scan_dir_for(
@@ -203,22 +213,8 @@ fn scan_dir_for(
 /// usage meter, the retry policy, and the call cache. There is no budget and
 /// no allowlist — route the call through `LlmClient`.
 fn model_call_scan(root: &Path, failures: &mut Vec<String>) -> Result<(), String> {
-    let mut counts: BTreeMap<String, Vec<(usize, String)>> = BTreeMap::new();
-    let crates = root.join("crates");
-    let entries =
-        fs::read_dir(&crates).map_err(|e| format!("cannot list {}: {e}", crates.display()))?;
-    for entry in entries.flatten() {
-        let dir = entry.path();
-        // aryn-llm is the one place allowed to talk to models; xtask holds
-        // the pattern as a string literal.
-        if dir
-            .file_name()
-            .is_some_and(|n| n == "xtask" || n == "aryn-llm")
-        {
-            continue;
-        }
-        scan_dir_for(&dir.join("src"), root, &["model.generate("], &mut counts)?;
-    }
+    // aryn-llm is the one place allowed to talk to models.
+    let counts = scan_crates(root, &["model.generate("], &["aryn-llm"])?;
     for (file, sites) in &counts {
         for (lineno, line) in sites {
             failures.push(format!(
@@ -293,7 +289,9 @@ fn scan_source_for(text: &str, patterns: &[&str]) -> Vec<(usize, String)> {
             i += 1;
             continue;
         }
-        if !trimmed.starts_with("//") && patterns.iter().any(|f| trimmed.contains(f)) {
+        // Patterns match the untrimmed line, so a leading space in a pattern
+        // can anchor it after indentation.
+        if !trimmed.starts_with("//") && patterns.iter().any(|f| lines[i].contains(f)) {
             out.push((i + 1, trimmed.to_string()));
         }
         i += 1;
@@ -318,25 +316,8 @@ const RETRY_LOOP_BUDGETS: &[(&str, usize)] = &[
 /// charged to the virtual clock (`ReliabilityState::charge`), never waited
 /// out. Retry loops are frozen at the grandfathered sites above.
 fn sleep_retry_scan(root: &Path, failures: &mut Vec<String>) -> Result<(), String> {
-    let mut sleeps: BTreeMap<String, Vec<(usize, String)>> = BTreeMap::new();
-    let mut loops: BTreeMap<String, Vec<(usize, String)>> = BTreeMap::new();
-    let crates = root.join("crates");
-    let entries =
-        fs::read_dir(&crates).map_err(|e| format!("cannot list {}: {e}", crates.display()))?;
-    for entry in entries.flatten() {
-        let dir = entry.path();
-        // xtask holds the patterns as string literals.
-        if dir.file_name().is_some_and(|n| n == "xtask") {
-            continue;
-        }
-        scan_dir_for(&dir.join("src"), root, &["thread::sleep("], &mut sleeps)?;
-        scan_dir_for(
-            &dir.join("src"),
-            root,
-            &["for attempt", "while attempt"],
-            &mut loops,
-        )?;
-    }
+    let sleeps = scan_crates(root, &["thread::sleep("], &[])?;
+    let loops = scan_crates(root, &["for attempt", "while attempt"], &[])?;
     for (file, sites) in &sleeps {
         for (lineno, line) in sites {
             failures.push(format!(
@@ -393,19 +374,8 @@ fn raw_fs_scan(root: &Path, failures: &mut Vec<String>) -> Result<(), String> {
         "File::create(",
         "OpenOptions::new(",
     ];
-    let mut counts: BTreeMap<String, Vec<(usize, String)>> = BTreeMap::new();
-    let crates = root.join("crates");
-    let entries =
-        fs::read_dir(&crates).map_err(|e| format!("cannot list {}: {e}", crates.display()))?;
-    for entry in entries.flatten() {
-        let dir = entry.path();
-        // xtask holds the patterns as string literals (and is repo
-        // automation, not library code).
-        if dir.file_name().is_some_and(|n| n == "xtask") {
-            continue;
-        }
-        scan_dir_for(&dir.join("src"), root, PATTERNS, &mut counts)?;
-    }
+    // xtask is repo automation, not library code, and is never scanned.
+    let mut counts = scan_crates(root, PATTERNS, &[])?;
     // aryn-core::vfs is the single sanctioned std::fs user.
     counts.remove("crates/aryn-core/src/vfs.rs");
     for (file, sites) in &counts {
@@ -429,6 +399,61 @@ fn raw_fs_scan(root: &Path, failures: &mut Vec<String>) -> Result<(), String> {
                  tighten RAW_FS_BUDGETS in crates/xtask/src/main.rs",
                 sites.len()
             );
+        }
+    }
+    Ok(())
+}
+
+// --- LLM span-vocabulary scan -------------------------------------------------
+
+/// Ways an `llm_*` span key gets written: a builder call, or a `(key, value)`
+/// table entry fed to one (on its own line or opening an array).
+const LLM_SPAN_KEY_PATTERNS: &[&str] = &[
+    "set(\"llm_",
+    "add(\"llm_",
+    "gauge(\"llm_",
+    " (\"llm_",
+    "[(\"llm_",
+];
+
+/// The one file allowed to write `llm_*` span keys, inside `record_into`.
+const LLM_SPAN_KEY_HOME: &str = "crates/aryn-llm/src/client.rs";
+
+/// Lines `(first, last)`, 1-based, of the `fn record_into` item in `text`.
+fn record_into_lines(text: &str) -> Option<(usize, usize)> {
+    let lines: Vec<&str> = text.lines().collect();
+    let start = lines.iter().position(|l| l.contains("fn record_into("))?;
+    let mut depth = 0i32;
+    for (i, line) in lines.iter().enumerate().skip(start) {
+        depth += line.matches('{').count() as i32 - line.matches('}').count() as i32;
+        if depth <= 0 && line.contains('}') {
+            return Some((start + 1, i + 1));
+        }
+    }
+    None
+}
+
+/// `UsageStats::record_into` is the one writer of the LLM metrics on
+/// telemetry spans: one name per metric, nonzero-only, on every span kind.
+/// An `llm_*` key written anywhere else forks that vocabulary (the same
+/// metric under two names, or under one name with two meanings), so it is
+/// rejected outright — record a `UsageStats` delta instead.
+fn llm_span_key_scan(root: &Path, failures: &mut Vec<String>) -> Result<(), String> {
+    let mut counts = scan_crates(root, LLM_SPAN_KEY_PATTERNS, &[])?;
+    if let Some(sites) = counts.get_mut(LLM_SPAN_KEY_HOME) {
+        let path = root.join(LLM_SPAN_KEY_HOME);
+        let text = fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        if let Some((first, last)) = record_into_lines(&text) {
+            sites.retain(|(n, _)| *n < first || *n > last);
+        }
+    }
+    for (file, sites) in &counts {
+        for (lineno, line) in sites {
+            failures.push(format!(
+                "{file}:{lineno}: llm_* span key written outside UsageStats::record_into: \
+                 {line} — record a UsageStats delta with record_into instead"
+            ));
         }
     }
     Ok(())
@@ -596,6 +621,30 @@ mod tests {
         let sites = scan_source_for(src, &["fs::write(", "fs::rename("]);
         let linenos: Vec<usize> = sites.iter().map(|(n, _)| *n).collect();
         assert_eq!(linenos, vec![2, 3]);
+    }
+
+    #[test]
+    fn llm_span_keys_are_detected_outside_record_into() {
+        let src = "\
+impl UsageStats {
+    pub fn record_into(&self, span: &mut SpanBuilder) {
+        for (key, n) in [
+            (\"llm_calls\", self.calls),
+        ] {
+            span.set(key, n);
+        }
+    }
+}
+fn record(span: &mut SpanBuilder, t: &NodeTrace) {
+    span.set(\"llm_calls\", t.calls).gauge(\"llm_cost_usd\", t.cost);
+    tel.count(\"x\", \"k\", &[(\"llm_retries\", 1)]);
+    let n = span.counter(\"llm_calls\");
+}
+";
+        let sites = scan_source_for(src, LLM_SPAN_KEY_PATTERNS);
+        let linenos: Vec<usize> = sites.iter().map(|(n, _)| *n).collect();
+        assert_eq!(linenos, vec![4, 11, 12], "span readers are not writes");
+        assert_eq!(record_into_lines(src), Some((2, 8)), "the exempt body at home");
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn main() -> aryn_core::Result<()> {
             eprintln!("error: {e}");
         }
     }
-    eprintln!("\ntotal simulated LLM spend this session: ${:.4}", luna.total_cost());
+    eprintln!("\ntotal simulated LLM spend this session: ${:.4}", luna.usage_stats().usage.cost_usd);
     Ok(())
 }
 

@@ -88,6 +88,6 @@ fn main() -> aryn_core::Result<()> {
         println!("\nQ: {q}\nA: {}", a.answer());
     }
 
-    println!("\ntotal simulated LLM spend: ${:.4}", luna.total_cost());
+    println!("\ntotal simulated LLM spend: ${:.4}", luna.usage_stats().usage.cost_usd);
     Ok(())
 }

@@ -171,50 +171,50 @@ fn assert_envelope(luna: &Luna, plan: &Plan, label: &str, may_fail: bool) {
             nc.rows.render()
         );
         assert!(
-            nc.llm_calls.contains(t.llm_calls as f64),
+            nc.llm_calls.contains(t.llm.calls as f64),
             "{label}: out_{} calls {} outside {}",
             t.node_id,
-            t.llm_calls,
+            t.llm.calls,
             nc.llm_calls.render()
         );
         assert!(
-            nc.input_tokens.contains(t.input_tokens as f64),
+            nc.input_tokens.contains(t.llm.usage.input_tokens as f64),
             "{label}: out_{} input tokens {} outside {}",
             t.node_id,
-            t.input_tokens,
+            t.llm.usage.input_tokens,
             nc.input_tokens.render()
         );
         assert!(
-            nc.output_tokens.contains(t.output_tokens as f64),
+            nc.output_tokens.contains(t.llm.usage.output_tokens as f64),
             "{label}: out_{} output tokens {} outside {}",
             t.node_id,
-            t.output_tokens,
+            t.llm.usage.output_tokens,
             nc.output_tokens.render()
         );
         assert!(
-            nc.cost_usd.contains(t.cost_usd),
+            nc.cost_usd.contains(t.llm.usage.cost_usd),
             "{label}: out_{} cost {} outside {}",
             t.node_id,
-            t.cost_usd,
+            t.llm.usage.cost_usd,
             nc.cost_usd.render()
         );
     }
     assert!(
-        report.llm_calls.contains(result.total_llm_calls() as f64),
+        report.llm_calls.contains(result.llm().calls as f64),
         "{label}: total calls {} outside {}",
-        result.total_llm_calls(),
+        result.llm().calls,
         report.llm_calls.render()
     );
     assert!(
-        report.total_tokens().contains(result.total_tokens() as f64),
+        report.total_tokens().contains(result.llm().tokens() as f64),
         "{label}: total tokens {} outside {}",
-        result.total_tokens(),
+        result.llm().tokens(),
         report.total_tokens().render()
     );
     assert!(
-        report.cost_usd.contains(result.total_cost()),
+        report.cost_usd.contains(result.llm().usage.cost_usd),
         "{label}: total cost {} outside {}",
-        result.total_cost(),
+        result.llm().usage.cost_usd,
         report.cost_usd.render()
     );
 }
@@ -291,10 +291,10 @@ fn sycamore_pipeline_totals_stay_inside_the_mirror_estimate() {
             docs.len(),
             est.docs_out.render()
         );
-        let calls: u64 = stats.stages.iter().map(|s| s.llm_calls).sum();
-        let in_tok: u64 = stats.stages.iter().map(|s| s.llm_input_tokens).sum();
-        let out_tok: u64 = stats.stages.iter().map(|s| s.llm_output_tokens).sum();
-        let cost: f64 = stats.stages.iter().map(|s| s.llm_cost_usd).sum();
+        let calls: u64 = stats.stages.iter().map(|s| s.llm.calls).sum();
+        let in_tok: usize = stats.stages.iter().map(|s| s.llm.usage.input_tokens).sum();
+        let out_tok: usize = stats.stages.iter().map(|s| s.llm.usage.output_tokens).sum();
+        let cost: f64 = stats.stages.iter().map(|s| s.llm.usage.cost_usd).sum();
         assert!(
             est.llm_calls.contains(calls as f64),
             "{label}: calls {calls} outside {}",

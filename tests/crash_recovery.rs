@@ -442,6 +442,52 @@ fn wal_overhead_absent_for_in_memory_stores() {
     assert!(wal_fsync > wal_only, "fsync charge missing: {wal_fsync} vs {wal_only}");
 }
 
+/// Files in neither loader's checksummed format: zero bytes, blank lines,
+/// and plain JSONL (one document object a line, no record tags or footer).
+fn unframed_files() -> Vec<(&'static str, String)> {
+    let plain = (0..3)
+        .map(|i| aryn_core::json::to_string(&aryn_core::serialize::document_to_value(&doc(i))))
+        .collect::<Vec<_>>()
+        .join("\n");
+    vec![
+        ("zero-byte", String::new()),
+        ("blank", "\n  \n".to_string()),
+        ("plain JSONL", plain),
+    ]
+}
+
+/// `DocStore::load_on` accepts only its checksummed export: an empty or
+/// plain-JSONL file is an error, never an empty (or unverified) store.
+#[test]
+fn store_load_rejects_empty_and_plain_jsonl_files() {
+    let mem = MemFs::new();
+    let path = Path::new("/export/store.jsonl");
+    mem.create_dir_all(Path::new("/export")).unwrap();
+    for (what, text) in unframed_files() {
+        mem.write(path, text.as_bytes()).unwrap();
+        assert!(DocStore::load_on(&mem, path).is_err(), "{what} file must not load");
+    }
+    let store: DocStore = (0..3).map(doc).collect();
+    store.save_on(&mem, path).unwrap();
+    assert_eq!(DocStore::load_on(&mem, path).unwrap().len(), 3);
+}
+
+/// `load_materialized_on` likewise: an empty or plain-JSONL checkpoint is
+/// an error, so the caller recomputes it.
+#[test]
+fn materialized_load_rejects_empty_and_plain_jsonl_files() {
+    let mem = MemFs::new();
+    let path = Path::new("/mat/ckpt.jsonl");
+    mem.create_dir_all(Path::new("/mat")).unwrap();
+    for (what, text) in unframed_files() {
+        mem.write(path, text.as_bytes()).unwrap();
+        assert!(
+            sycamore::load_materialized_on(&mem, path).is_err(),
+            "{what} checkpoint must not load"
+        );
+    }
+}
+
 /// A torn materialize checkpoint is discarded (load errors), not
 /// half-loaded; recomputing the checkpoint restores a clean load.
 #[test]

@@ -80,15 +80,15 @@ fn llm_usage_is_attributed_to_the_stage_that_spent_it() {
         .iter()
         .find(|s| s.name.contains("extract_properties"))
         .expect("extract stage present");
-    assert!(extract.llm_calls >= 12, "one call per doc: {}", extract.llm_calls);
-    assert!(extract.llm_input_tokens > 0);
-    assert!(extract.llm_output_tokens > 0);
-    assert!(extract.llm_cost_usd > 0.0);
+    assert!(extract.llm.calls >= 12, "one call per doc: {}", extract.llm.calls);
+    assert!(extract.llm.usage.input_tokens > 0);
+    assert!(extract.llm.usage.output_tokens > 0);
+    assert!(extract.llm.usage.cost_usd > 0.0);
     // Stages with no LLM op spend nothing.
     for s in stats.stages.iter().filter(|s| !s.name.contains("extract")) {
-        assert_eq!(s.llm_calls, 0, "stage {} attributed stray LLM calls", s.name);
+        assert_eq!(s.llm.calls, 0, "stage {} attributed stray LLM calls", s.name);
     }
-    assert_eq!(stats.total_llm_calls(), extract.llm_calls);
+    assert_eq!(stats.llm().calls, extract.llm.calls);
 }
 
 #[test]
@@ -101,12 +101,13 @@ fn telemetry_mirrors_exec_stats() {
     assert_eq!(trace.total_for_kind("stage", "rows_out") as usize,
         stats.stages.iter().map(|s| s.rows_out).sum::<usize>());
     assert_eq!(trace.total_for_kind("stage", "retries") as usize, stats.total_retries());
+    assert_eq!(trace.total_for_kind("stage", "llm_retries"), stats.llm().retries);
     assert_eq!(trace.total_for_kind("stage", "failed_docs") as usize, stats.total_failed_docs());
-    assert_eq!(trace.total_for_kind("stage", "llm_calls"), stats.total_llm_calls());
+    assert_eq!(trace.total_for_kind("stage", "llm_calls"), stats.llm().calls);
     assert_eq!(
         trace.total_for_kind("stage", "llm_input_tokens")
             + trace.total_for_kind("stage", "llm_output_tokens"),
-        stats.total_llm_tokens()
+        stats.llm().tokens()
     );
     // The partitioner contributed its own spans under the same collector.
     assert!(!trace.spans_of_kind("partitioner").is_empty());
@@ -220,23 +221,60 @@ fn client_meter_and_call_cache_agree_with_stage_attribution() {
     };
     let (_docs1, stats1) = run();
     assert_eq!(
-        stats1.total_llm_calls(),
+        stats1.llm().calls,
         client.stats().calls,
         "stage-attributed calls must equal the client meter"
     );
-    assert_eq!(stats1.total_llm_cache_hits(), cache.stats().hits);
+    assert_eq!(stats1.llm().cache_hits, cache.stats().hits);
     // A second identical run is answered entirely from the call cache: the
     // stage attribution must report the hits and the meter must not move.
     let calls_before = client.stats().calls;
     let (_docs2, stats2) = run();
     assert_eq!(client.stats().calls, calls_before, "second run must be all cache hits");
-    assert_eq!(stats2.total_llm_calls(), 0);
-    assert!(stats2.total_llm_cache_hits() > 0);
+    assert_eq!(stats2.llm().calls, 0);
+    assert!(stats2.llm().cache_hits > 0);
     assert_eq!(
-        stats1.total_llm_cache_hits() + stats2.total_llm_cache_hits(),
+        stats1.llm().cache_hits + stats2.llm().cache_hits,
         cache.stats().hits,
         "per-stage cache-hit attribution must sum to the cache's own meter"
     );
+}
+
+#[test]
+fn batched_calls_equal_batch_sizes_in_every_stage() {
+    // The batch layer bumps the meter's `batched_calls` and appends the
+    // stage's `batch_sizes` for the same packed call, so the two counts
+    // agree per stage, batched or not, and on the stage spans.
+    for batch_max_items in [1usize, 4] {
+        let ctx = Context::new().with_exec(ExecConfig {
+            threads: 2,
+            batch_max_items,
+            seed: 42,
+            ..ExecConfig::default()
+        });
+        ctx.register_corpus("ntsb", &Corpus::ntsb(9, 12));
+        let client = LlmClient::new(Arc::new(MockLlm::new(&GPT4_SIM, SimConfig::perfect(9))));
+        let (_docs, stats) = ctx
+            .read_lake("ntsb")
+            .unwrap()
+            .partition("ntsb", PartitionCfg::default())
+            .extract_properties(&client, obj! { "us_state_abbrev" => "string" })
+            .llm_filter(&client, "caused by wind")
+            .collect_stats()
+            .unwrap();
+        for s in &stats.stages {
+            assert_eq!(
+                s.llm.batched_calls,
+                s.batch_sizes.len() as u64,
+                "batch_max_items={batch_max_items}, stage {}",
+                s.name
+            );
+        }
+        let batched = stats.llm().batched_calls;
+        assert_eq!(batched > 0, batch_max_items > 1, "{}", stats.render());
+        let trace = ctx.telemetry().snapshot();
+        assert_eq!(trace.total_for_kind("stage", "llm_batched_calls"), batched);
+    }
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use aryn::prelude::*;
 use aryn_core::Value;
+use aryn_llm::{Usage, UsageStats};
 use std::sync::Arc;
 
 fn build_luna(seed: u64) -> Luna {
@@ -24,43 +25,131 @@ fn build_luna(seed: u64) -> Luna {
     .unwrap()
 }
 
+/// Reads an operator span's LLM counters back into a `UsageStats`, one key
+/// per field (absent keys read as 0).
+fn span_usage(span: &aryn_telemetry::Span) -> UsageStats {
+    UsageStats {
+        calls: span.counter("llm_calls"),
+        retries: span.counter("llm_retries"),
+        parse_repairs: span.counter("llm_parse_repairs"),
+        parse_failures: span.counter("llm_parse_failures"),
+        transient_failures: span.counter("llm_transient_failures"),
+        batched_calls: span.counter("llm_batched_calls"),
+        batched_items: span.counter("llm_batched_items"),
+        calls_saved: span.counter("llm_calls_saved"),
+        breaker_trips: span.counter("llm_breaker_trips"),
+        fallback_calls: span.counter("llm_fallback_calls"),
+        degraded_docs: span.counter("llm_degraded_docs"),
+        cache_hits: span.counter("llm_cache_hits"),
+        cost_saved_usd: span.gauge("llm_cost_saved_usd"),
+        usage: Usage {
+            input_tokens: span.counter("llm_input_tokens") as usize,
+            output_tokens: span.counter("llm_output_tokens") as usize,
+            cost_usd: span.gauge("llm_cost_usd"),
+            latency_ms: span.gauge("llm_latency_ms"),
+        },
+    }
+}
+
 #[test]
 fn every_answer_carries_a_consistent_trace() {
-    let luna = build_luna(41);
-    let ans = luna
-        .ask("How many incidents were caused by environmental factors?")
-        .unwrap();
+    // Call cache and a reliability policy on, plus micro-batching with a
+    // fault schedule that makes the retry and repair counters move; then,
+    // unbatched, a blackout that walks the degradation ladder (a batched
+    // filter does not degrade). Every LLM counter has something to report.
+    let seed = 41;
+    let build = |batch_max_items: usize, chaos: ChaosSchedule| {
+        let ctx = Context::new();
+        ctx.register_corpus("ntsb", &Corpus::ntsb(seed, 16));
+        let client =
+            LlmClient::new(Arc::new(MockLlm::new(&GPT4_SIM, SimConfig::with_seed(seed))));
+        ingest_lake(&ctx, "ntsb", "ntsb", &client, luna::ntsb_schema(), Detector::DetrSim)
+            .unwrap();
+        Luna::new(
+            ctx,
+            &["ntsb"],
+            LunaConfig {
+                sim: SimConfig::with_seed(seed),
+                call_cache: true,
+                batch_max_items,
+                reliability: Some(ReliabilityPolicy {
+                    deadline_ms: 1e9,
+                    breaker_window: 4,
+                    breaker_threshold: 0.5,
+                    breaker_cooldown_ms: 1e12,
+                    ..ReliabilityPolicy::default()
+                }),
+                chaos: Some(chaos),
+                // Keep the semantic filter, so the question makes LLM calls.
+                optimizer: luna::OptimizerCfg { pushdown: false, ..Default::default() },
+                ..LunaConfig::default()
+            },
+        )
+        .unwrap()
+    };
+    let batched = build(
+        4,
+        ChaosSchedule::calm()
+            .with_window(FaultKind::RateLimit, 1, 1)
+            .with_window(FaultKind::Malformed, 2, 1),
+    );
+    let blackout = build(1, ChaosSchedule::calm().with_window(FaultKind::Blackout, 0, 100_000));
+    let q = "How many incidents were caused by environmental factors?";
+    let mut seen = UsageStats::default();
+    // The batched session is asked twice: the second answer comes from the
+    // call cache.
+    for luna in [&batched, &batched, &blackout] {
+        let ans = luna.ask(q).unwrap();
+        let trace = &ans.trace;
+        assert!(!trace.spans.is_empty(), "ask() must record spans");
+        // The three layers all reported in: planner, optimizer, operators.
+        assert!(!trace.spans_of_kind("planner").is_empty());
+        assert!(!trace.spans_of_kind("optimizer").is_empty());
+        let operators = trace.spans_of_kind("operator");
+        assert_eq!(
+            operators.len(),
+            ans.result.traces.len(),
+            "one operator span per executed plan node"
+        );
 
-    let trace = &ans.trace;
-    assert!(!trace.spans.is_empty(), "ask() must record spans");
-    // The three layers all reported in: planner, optimizer, operators.
-    assert!(!trace.spans_of_kind("planner").is_empty());
-    assert!(!trace.spans_of_kind("optimizer").is_empty());
-    let operators = trace.spans_of_kind("operator");
-    assert_eq!(
-        operators.len(),
-        ans.result.traces.len(),
-        "one operator span per executed plan node"
-    );
-
-    // Span counters must agree with the executor's own NodeTrace bookkeeping.
-    assert_eq!(
-        trace.total_for_kind("operator", "llm_calls"),
-        ans.result.total_llm_calls()
-    );
-    assert_eq!(
-        trace.total_for_kind("operator", "llm_input_tokens")
-            + trace.total_for_kind("operator", "llm_output_tokens"),
-        ans.result.total_tokens()
-    );
-    assert_eq!(
-        trace.total_for_kind("operator", "retries"),
-        ans.result.total_retries()
-    );
-    for (span, nt) in operators.iter().zip(&ans.result.traces) {
-        assert_eq!(span.counter("rows_in"), nt.rows_in as u64);
-        assert_eq!(span.counter("rows_out"), nt.rows_out as u64);
-        assert_eq!(span.counter("llm_calls"), nt.llm_calls);
+        // Span counters must agree with the executor's own NodeTrace
+        // bookkeeping, field by field.
+        assert_eq!(
+            trace.total_for_kind("operator", "llm_calls"),
+            ans.result.llm().calls
+        );
+        assert_eq!(
+            trace.total_for_kind("operator", "llm_input_tokens")
+                + trace.total_for_kind("operator", "llm_output_tokens"),
+            ans.result.llm().tokens()
+        );
+        assert_eq!(
+            trace.total_for_kind("operator", "llm_retries"),
+            ans.result.llm().retries
+        );
+        for (span, nt) in operators.iter().zip(&ans.result.traces) {
+            assert_eq!(span.counter("rows_in"), nt.rows_in as u64);
+            assert_eq!(span.counter("rows_out"), nt.rows_out as u64);
+            assert_eq!(span.counter("llm_calls"), nt.llm.calls);
+            assert_eq!(span_usage(span), nt.llm, "span {}", span.name);
+        }
+        seen.merge(&ans.result.llm());
+    }
+    // The configurations really exercised the counters being compared.
+    for (field, n) in [
+        ("calls", seen.calls),
+        ("retries", seen.retries),
+        ("transient_failures", seen.transient_failures),
+        ("parse_repairs", seen.parse_repairs),
+        ("cache_hits", seen.cache_hits),
+        ("batched_calls", seen.batched_calls),
+        ("batched_items", seen.batched_items),
+        ("calls_saved", seen.calls_saved),
+        ("breaker_trips", seen.breaker_trips),
+        ("fallback_calls", seen.fallback_calls),
+        ("degraded_docs", seen.degraded_docs),
+    ] {
+        assert!(n > 0, "{field} never moved: {seen:?}");
     }
 }
 
